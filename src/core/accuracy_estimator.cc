@@ -65,27 +65,10 @@ Result<AccuracyEstimate> EstimateAccuracy(
         0, k, layout,
         [&](ParallelIndex chunk, ParallelIndex b, ParallelIndex e) {
           Rng& chunk_rng = chunk_rngs[static_cast<std::size_t>(chunk)];
-          if (!options.batch_draws) {
-            for (ParallelIndex i = b; i < e; ++i) {
-              const Vector delta_theta = sampler.Draw(scale, &chunk_rng);
-              double v;
-              if (score_path) {
-                Matrix scores = spec.Scores(delta_theta, holdout);
-                scores += base_scores;
-                v = spec.DiffFromScores(base_scores, scores, holdout);
-              } else {
-                Vector theta_full = theta_n;
-                theta_full += delta_theta;
-                v = spec.Diff(theta_n, theta_full, holdout);
-              }
-              vs[static_cast<std::size_t>(i)] = v;
-            }
-            return;
-          }
-          // Batched: groups of kMultiVec draws share one factor pass and
-          // (score path) one batched score pass. The z block is filled row
-          // by row from the chunk's stream — the same normal sequence the
-          // per-draw loop consumes, so the drawn bits are identical.
+          // Groups of kMultiVec draws share one factor pass and (score
+          // path) one batched score pass. The z block is filled row by row
+          // from the chunk's stream, so draw i consumes exactly the normals
+          // ParamSampler::Draw would take from that stream.
           const Vector::Index rank = sampler.rank();
           Matrix scratch;  // per-chunk scratch scores, reused across draws
           std::vector<const Vector*> ptrs;

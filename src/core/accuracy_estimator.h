@@ -33,13 +33,6 @@ struct AccuracyEstimate {
 struct AccuracyOptions {
   int num_samples = 512;  // k
   double delta = 0.05;
-  /// Draw in groups of kernels::kMultiVec via ParamSampler::DrawBatch and
-  /// batch score matrices, one factor pass per group instead of per draw.
-  /// Each chunk's z-block is filled in the per-draw Rng stream order and
-  /// the batched kernels are bitwise equal per column, so flipping this
-  /// switch never changes the estimate — it is a pure speed knob (kept as
-  /// the regression reference for tests and the bench).
-  bool batch_draws = true;
 };
 
 /// Estimates the accuracy bound for a model with parameters `theta_n`

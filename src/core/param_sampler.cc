@@ -1,7 +1,6 @@
 #include "core/param_sampler.h"
 
 #include "linalg/kernels.h"
-#include "runtime/runtime_options.h"
 
 namespace blinkml {
 
@@ -64,10 +63,8 @@ Vector ParamSampler::Draw(double scale, Rng* rng) const {
   return DrawWithZ(scale, z);
 }
 
-// The matvecs below (MatVec / MatTVec / CSR applies) dispatch on the
-// ambient kernel level at their own entry points, so every Monte-Carlo
-// draw runs the parallel unrolled kernels under kBlocked with no
-// sampler-side switching.
+// The matvecs below (MatVec / MatTVec / CSR applies) run the parallel
+// unrolled kernels at their own entry points.
 Vector ParamSampler::DrawWithZ(double scale, const Vector& z) const {
   BLINKML_CHECK_EQ(z.size(), rank());
   Vector out;
@@ -97,17 +94,10 @@ std::vector<Vector> ParamSampler::DrawBatch(double scale,
   std::vector<Vector> out;
   out.reserve(static_cast<std::size_t>(batch));
   if (batch == 0) return out;
-  if (CurrentKernelLevel() != KernelLevel::kBlocked) {
-    // Oracle: the exact per-draw path.
-    for (Matrix::Index b = 0; b < batch; ++b) {
-      out.push_back(DrawWithZ(scale, zs.Row(b)));
-    }
-    return out;
-  }
-  // Blocked: one pass over the factor serves the whole batch. Each multi-z
-  // kernel's column b is bitwise its single-vector counterpart on z_b
-  // (kernels.h), so extracting column b and scaling per element
-  // reproduces DrawWithZ(scale, z_b) exactly.
+  // One pass over the factor serves the whole batch. Each multi-z kernel's
+  // column b is bitwise its single-vector counterpart on z_b (kernels.h),
+  // so extracting column b and scaling per element reproduces
+  // DrawWithZ(scale, z_b) exactly.
   Matrix stacked;  // p x batch
   switch (backend_) {
     case Backend::kDense:
@@ -148,19 +138,9 @@ Result<Matrix> ParamSampler::DenseCovariance() const {
       return MatMulT(w, w);
     }
     case Backend::kSparseGram: {
-      // W = Q^T V. The blocked kernel builds every column in one parallel
-      // pass (each an independent serial scatter — same arithmetic as the
-      // per-column loop below, which stays as the kNaive oracle).
-      if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-        const Matrix w = kernels::ApplyTransposedMulti(q_sparse_, v_scaled_);
-        return MatMulT(w, w);
-      }
-      const Matrix::Index r = rank();
-      Matrix w(p, r);
-      for (Matrix::Index j = 0; j < r; ++j) {
-        const Vector col = q_sparse_.ApplyTransposed(v_scaled_.Col(j));
-        w.SetCol(j, col);
-      }
+      // W = Q^T V, every column in one parallel pass (each an independent
+      // serial scatter in ascending row order).
+      const Matrix w = kernels::ApplyTransposedMulti(q_sparse_, v_scaled_);
       return MatMulT(w, w);
     }
   }

@@ -235,41 +235,43 @@ Status TrainingPipeline::TrainFinal() {
   const Index n = out_.size_estimate.sample_size;
   const Index full_n = prefix_->full_n;
 
-  // Final sample. The rows are a pure function of (seed, n) — the master
-  // Rng splits the same number of streams on every path to this stage — so
-  // the cache shares one materialization across candidates that land on
-  // the same n. On a hit final_rng is a dead-end stream, like sample_rng
-  // in the prefix.
-  Rng final_rng = rng_.Split();
-  std::shared_ptr<const Dataset> dn;
-  if (n >= full_n) {
-    auto materialize = [&] { return data_->TakeRows(*prefix_->pool_rows); };
-    dn = cache_ ? cache_->GetOrCreate(
-                      {SampleCache::Purpose::kFullPool, config_->seed, full_n},
-                      materialize)
-                : std::make_shared<const Dataset>(materialize());
-  } else {
-    auto materialize = [&] {
-      std::vector<Index> chosen =
-          SampleWithoutReplacement(full_n, n, &final_rng);
-      for (Index& c : chosen) {
-        c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
-      }
-      return data_->TakeRows(chosen);
-    };
-    dn = cache_ ? cache_->GetOrCreate(
-                      {SampleCache::Purpose::kFinalSample, config_->seed, n},
-                      materialize)
-                : std::make_shared<const Dataset>(materialize());
-  }
-
   TrainerOptions final_options = config_->trainer;
   if (config_->warm_start_final && !spec_->has_closed_form_trainer()) {
     final_options.warm_start = m0_.theta;
   }
   const ModelTrainer final_trainer(final_options);
+
+  // Final sample. The rows are a pure function of (seed, n) — the master
+  // Rng splits the same number of streams on every path to this stage — so
+  // the cache shares one materialization across candidates that land on
+  // the same n. On a hit final_rng is a dead-end stream, like sample_rng
+  // in the prefix. Materializing the sample is part of the final_train
+  // phase: it is work the final model costs.
+  Rng final_rng = rng_.Split();
+  std::shared_ptr<const Dataset> dn;
   {
     obs::PhaseScope t("final_train", &out_.timings.final_train);
+    if (n >= full_n) {
+      auto materialize = [&] { return data_->TakeRows(*prefix_->pool_rows); };
+      dn = cache_ ? cache_->GetOrCreate(
+                        {SampleCache::Purpose::kFullPool, config_->seed,
+                         full_n},
+                        materialize)
+                  : std::make_shared<const Dataset>(materialize());
+    } else {
+      auto materialize = [&] {
+        std::vector<Index> chosen =
+            SampleWithoutReplacement(full_n, n, &final_rng);
+        for (Index& c : chosen) {
+          c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
+        }
+        return data_->TakeRows(chosen);
+      };
+      dn = cache_ ? cache_->GetOrCreate(
+                        {SampleCache::Purpose::kFinalSample, config_->seed, n},
+                        materialize)
+                  : std::make_shared<const Dataset>(materialize());
+    }
     BLINKML_ASSIGN_OR_RETURN(mn_, final_trainer.Train(*spec_, *dn));
   }
   out_.final_iterations = mn_.iterations;

@@ -80,24 +80,10 @@ Result<SampleSizeEstimate> EstimateSampleSize(
         0, k, layout,
         [&](ParallelIndex chunk, ParallelIndex b, ParallelIndex e) {
           Rng& chunk_rng = chunk_rngs[static_cast<std::size_t>(chunk)];
-          if (!options.batch_draws) {
-            for (ParallelIndex i = b; i < e; ++i) {
-              Vector u = sampler.Draw(1.0, &chunk_rng);
-              Vector w = sampler.Draw(1.0, &chunk_rng);
-              if (score_path) {
-                score_u[static_cast<std::size_t>(i)] = spec.Scores(u, holdout);
-                score_w[static_cast<std::size_t>(i)] = spec.Scores(w, holdout);
-              } else {
-                param_u[static_cast<std::size_t>(i)] = std::move(u);
-                param_w[static_cast<std::size_t>(i)] = std::move(w);
-              }
-            }
-            return;
-          }
-          // Batched: kMultiVec pairs per group. The per-draw loop consumes
-          // the stream as z(u_i), z(w_i), z(u_i+1), ... so the two z blocks
-          // are filled row-interleaved in exactly that order — the drawn
-          // bits match the unbatched path for any thread count.
+          // kMultiVec pairs per group. The z blocks are filled
+          // row-interleaved in the order z(u_i), z(w_i), z(u_i+1), ..., so
+          // each draw consumes exactly the normals a ParamSampler::Draw
+          // per u_i then w_i would take from the chunk's stream.
           const Vector::Index rank = sampler.rank();
           for (ParallelIndex g = b; g < e; g += kernels::kMultiVec) {
             const ParallelIndex ge =

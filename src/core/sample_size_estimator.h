@@ -49,12 +49,6 @@ struct SampleSizeOptions {
   double epsilon = 0.05;
   double delta = 0.05;
   Dataset::Index min_n = 100;
-  /// Draw the (u_i, w_i) pairs in groups of kernels::kMultiVec via
-  /// ParamSampler::DrawBatch and batched score passes. The z blocks are
-  /// filled in the per-draw stream order (u_i then w_i for each i) and the
-  /// batched kernels match per column bitwise, so this is a pure speed
-  /// knob: the estimate is identical with it on or off.
-  bool batch_draws = true;
 };
 
 /// Estimates the minimum sample size in [max(min_n, n0), full_n] for the

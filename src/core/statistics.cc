@@ -93,52 +93,14 @@ Result<ParamSampler> ComputeInverseGradients(const ModelSpec& spec,
 
 }  // namespace
 
-// The blocked kernel level runs the tiled scatter/gather kernel
-// (linalg/kernels.cc: column-intersection state paid once per row tile);
-// kNaive keeps the per-pair sorted-column merges below — O(sum over pairs
-// of overlapping nnz), which is what makes ObservedFisher practical on
-// hashed/bag-of-words features either way.
+// The tiled scatter/gather kernel (linalg/kernels.cc) pays the
+// column-intersection state once per row tile, which is what makes
+// ObservedFisher practical on hashed/bag-of-words features.
 Matrix SparseGradientGram(const SparseMatrix& q) {
-  const bool blocked = CurrentKernelLevel() == KernelLevel::kBlocked;
   obs::SpanScope span("kernel:SparseGram", "kernel", "rows",
                       static_cast<long long>(q.rows()));
-  kernels::NoteKernelDispatch("SparseGram", blocked);
-  if (blocked) {
-    return kernels::SparseGram(q);
-  }
-  const Index n = static_cast<Index>(q.rows());
-  Matrix g(n, n);
-  // Parallel over rows of the upper triangle; every (i, j) merge is one
-  // independent dot product, so results match the serial loop bitwise. Row
-  // i costs O(n - i) merges; small chunks keep the lanes balanced.
-  ParallelFor(0, n, [&](Index i0, Index i1) {
-    for (Index i = i0; i < i1; ++i) {
-      const auto nnz_i = q.RowNnz(i);
-      const auto* cols_i = q.RowCols(i);
-      const auto* vals_i = q.RowValues(i);
-      for (Index j = i; j < n; ++j) {
-        const auto nnz_j = q.RowNnz(j);
-        const auto* cols_j = q.RowCols(j);
-        const auto* vals_j = q.RowValues(j);
-        double s = 0.0;
-        SparseMatrix::Index a = 0, b = 0;
-        while (a < nnz_i && b < nnz_j) {
-          if (cols_i[a] < cols_j[b]) {
-            ++a;
-          } else if (cols_i[a] > cols_j[b]) {
-            ++b;
-          } else {
-            s += vals_i[a] * vals_j[b];
-            ++a;
-            ++b;
-          }
-        }
-        g(i, j) = s;
-        g(j, i) = s;
-      }
-    }
-  }, kFineGrain);
-  return g;
+  kernels::NoteKernelDispatch("SparseGram");
+  return kernels::SparseGram(q);
 }
 
 namespace {

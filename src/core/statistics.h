@@ -62,12 +62,10 @@ struct StatsOptions {
   FeatureGramCache::Key gram_key;
 };
 
-/// Gram matrix Q Q^T of a sparse (gradient) matrix, dispatching on the
-/// ambient RuntimeOptions::kernel_level: the tiled scatter/gather kernel
-/// (linalg/kernels.h) under kBlocked, the per-pair sorted-column merge —
-/// the oracle — under kNaive. Used by every sparse ObservedFisher path;
-/// public so the kernel bench/tests exercise exactly the statistics
-/// phase's Gram.
+/// Gram matrix Q Q^T of a sparse (gradient) matrix via the tiled
+/// scatter/gather kernel (linalg/kernels.h). Used by every sparse
+/// ObservedFisher path; public so the kernel bench/tests exercise exactly
+/// the statistics phase's Gram.
 Matrix SparseGradientGram(const SparseMatrix& q);
 
 /// Builds the sampler for the unscaled distribution N(0, H^-1 J H^-1),

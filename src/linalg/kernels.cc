@@ -13,10 +13,9 @@
 namespace blinkml {
 namespace kernels {
 
-void NoteKernelDispatch(const char* kernel, bool blocked) {
+void NoteKernelDispatch(const char* kernel) {
   obs::Registry::Global()
-      .Counter("kernel_calls_total",
-               {{"kernel", kernel}, {"level", blocked ? "blocked" : "naive"}})
+      .Counter("kernel_calls_total", {{"kernel", kernel}})
       ->Inc();
 }
 
@@ -543,7 +542,7 @@ Matrix GramCols(const Matrix& a) {
   // Entry (i, j) accumulates over 4-row panels of A in ascending row
   // order — a pure function of n, never of the chunking, so any grain is
   // safe (each chunk owns its output rows outright). Two chunks per lane
-  // balance the triangular row costs, as in the naive path.
+  // balance the triangular row costs.
   const int lanes = CurrentParallelism();
   const DIndex grain =
       std::max<DIndex>(1, (d + 2 * lanes - 1) / (2 * lanes));
@@ -639,7 +638,7 @@ Vector MatTVec(const Matrix& a, const Vector& x) {
   // Per-chunk partial outputs merged element-wise in chunk order: for any
   // output entry the contributions stay grouped by ascending row blocks,
   // so the result is identical for every thread count (and differs from
-  // the naive serial scatter only by the fixed partial-merge association).
+  // the reference serial scatter only by the fixed partial-merge association).
   const ParallelIndex chunks = TransposedChunks(n * d, d);
   const ParallelIndex grain = (n + chunks - 1) / chunks;
   return ParallelReduce(
@@ -898,7 +897,7 @@ Matrix ApplyTransposedMulti(const SparseMatrix& a, const Matrix& v) {
   // cols/vals are loaded once and scattered into all group columns, an
   // index-load amortization no per-column pass can get. Per output entry
   // the contributions still arrive in ascending row order — bitwise equal
-  // to r naive per-column transposed applies. Groups are independent
+  // to r reference per-column transposed applies. Groups are independent
   // output stripes, so they parallelize with no partials.
   const DIndex groups = (r + kMultiVec - 1) / kMultiVec;
   ParallelFor(0, groups, [&](DIndex g0, DIndex g1) {

@@ -5,9 +5,11 @@
 // inside the sampler and eigensolver, the CSR matvecs behind every sampler
 // draw, and the per-row margin dots of the GLM training/scoring loops.
 // This module provides register-tiled, cache-blocked, manually unrolled
-// implementations of those kernels; the naive scalar loops stay in their
-// original homes (linalg/matrix.cc, linalg/sparse.cc, core/statistics.cc)
-// as the opt-out oracle, selected by RuntimeOptions::kernel_level.
+// implementations of those kernels, and they are the only implementation
+// production runs: the linalg entry points (linalg/matrix.cc,
+// linalg/sparse.cc, core/statistics.cc) call straight into them. The
+// original scalar loops live on as the tolerance oracle in the
+// test-and-bench reference library, blinkml_reference.
 //
 // Determinism contract (the same one runtime/parallel.h makes): every
 // kernel's block schedule and accumulation order is a pure function of the
@@ -17,7 +19,7 @@
 // the one reduction-shaped kernel (transposed matvec) uses a chunk layout
 // derived from the shape alone with partials merged serially in chunk
 // order. Consequently results are bitwise identical at 1/2/N threads and
-// with the runtime disabled. They may differ from the naive loops by
+// with the runtime disabled. They may differ from the reference loops by
 // rounding (multiple accumulator chains reassociate the sums); the bench
 // and tests pin that difference below 1e-12 relative.
 //
@@ -34,8 +36,7 @@
 // scalar association exactly — the 4 unrolled chains become the 4 lanes
 // of one ymm register merged in the same (s0+s1)+(s2+s3) order (or one
 // lane per batched column), and FMA is never used — so AVX2 output is
-// bitwise identical to the scalar blocked output. kNaive ignores the ISA
-// entirely and stays the tolerance oracle.
+// bitwise identical to the scalar output.
 
 #ifndef BLINKML_LINALG_KERNELS_H_
 #define BLINKML_LINALG_KERNELS_H_
@@ -87,10 +88,10 @@ double SparseDotUnrolled(const SparseMatrix::Index* cols, const double* vals,
                          SparseMatrix::Index nnz, const double* x);
 
 /// Observability hook for the coarse dispatch wrappers (Matrix::GramRows
-/// etc.): bumps kernel_calls_total{kernel=...,level=naive|blocked} in the
-/// global obs registry. Called once per Gram/MatMul dispatch — never per
-/// row — so the registry lookup cost is invisible next to the kernel.
-void NoteKernelDispatch(const char* kernel, bool blocked);
+/// etc.): bumps kernel_calls_total{kernel=...} in the global obs
+/// registry. Called once per Gram dispatch — never per row — so the
+/// registry lookup cost is invisible next to the kernel.
+void NoteKernelDispatch(const char* kernel);
 
 // --- Dense kernels.
 
@@ -147,7 +148,7 @@ Vector ApplyTransposed(const SparseMatrix& a, const Vector& x);
 /// A^T V for a dense V (n x r): one pass over the rows per kMultiVec
 /// column group, scattering each entry into the whole group (index loads
 /// amortized r-fold within a group). Per output entry contributions stay
-/// in ascending row order — bitwise equal to r naive ApplyTransposed
+/// in ascending row order — bitwise equal to r reference ApplyTransposed
 /// calls. Groups parallelize as independent output stripes. Backs
 /// ParamSampler::DenseCovariance.
 Matrix ApplyTransposedMulti(const SparseMatrix& a, const Matrix& v);
@@ -157,7 +158,7 @@ Matrix ApplyTransposedMulti(const SparseMatrix& a, const Matrix& v);
 /// (independent of B), per-chunk d x B partials merged in chunk order.
 /// Column b is bitwise equal to ApplyTransposed(a, t.col(b)) — the
 /// association DrawWithZ's sparse-Gram backend produces — which
-/// ApplyTransposedMulti (ascending-row = naive association) is not.
+/// ApplyTransposedMulti (ascending-row = reference association) is not.
 Matrix ApplyTransposedMultiBlocked(const SparseMatrix& a, const Matrix& t);
 
 // --- GLM margin kernels (consumed by models/glm_parallel.h).

@@ -79,33 +79,16 @@ SparseMatrix::SparseMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
   structure_ = std::move(s);
 }
 
-// Both matvecs dispatch on the ambient kernel level: kBlocked runs the
-// parallel/unrolled kernels (linalg/kernels.cc), kNaive the serial loops
-// below (the oracle — see tests/kernels_test.cc).
+// Both matvecs run the parallel/unrolled kernels (linalg/kernels.cc).
 
 Vector SparseMatrix::Apply(const Vector& x) const {
   BLINKML_CHECK_EQ(static_cast<Index>(x.size()), cols());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::Apply(*this, x);
-  }
-  Vector y(rows());
-  for (Index r = 0; r < rows(); ++r) y[r] = RowDot(r, x.data());
-  return y;
+  return kernels::Apply(*this, x);
 }
 
 Vector SparseMatrix::ApplyTransposed(const Vector& x) const {
   BLINKML_CHECK_EQ(static_cast<Index>(x.size()), rows());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::ApplyTransposed(*this, x);
-  }
-  Vector y(cols());
-  double* py = y.data();
-  for (Index r = 0; r < rows(); ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    AddRowTo(r, xr, py);
-  }
-  return y;
+  return kernels::ApplyTransposed(*this, x);
 }
 
 double SparseMatrix::RowDot(Index r, const Vector& x) const {

@@ -4,20 +4,18 @@
 // <x_i, theta> per row, a link applied to it (identity / sigmoid / exp),
 // and either a (loss, gradient) reduction or a per-row coefficient. The
 // drivers here own that shape once: the specs supply a Link with the
-// per-row arithmetic and get the parallel loop, the kernel-level dispatch,
-// and the determinism contract for free.
+// per-row arithmetic (models/glm_links.h) and get the parallel loop, the
+// margin kernels, and the determinism contract for free.
 //
-// Two code paths per driver, selected by RuntimeOptions::kernel_level:
-//  * kNaive  — the original per-row loop (RowDot margin, Loss/Coeff as
-//    separate calls), bitwise identical to the pre-kernel specs: the
-//    opt-out oracle;
-//  * kBlocked — margins for a panel of rows come from the unrolled dot
-//    kernels (linalg/kernels.h) and the link's fused LossAndCoeff shares
-//    one exp between the loss and the coefficient. Same single streaming
-//    pass over the data, several times fewer dependent FLOP chains.
-// Both paths reduce per-chunk (loss, grad) partials over the runtime's
-// fixed chunk -> slot mapping, so either is bitwise independent of the
-// thread count (see runtime/parallel.h).
+// Margins for a panel of rows come from the unrolled dot kernels
+// (linalg/kernels.h) and the link's fused LossAndCoeff shares one exp
+// between the loss and the coefficient: a single streaming pass over the
+// data with several independent FLOP chains. The reductions combine
+// per-chunk (loss, grad) partials over the runtime's fixed chunk -> slot
+// mapping, so every driver is bitwise independent of the thread count
+// (see runtime/parallel.h). The original per-row loops (RowDot margin,
+// separate loss and coefficient) are the tolerance oracle in the
+// test-and-bench reference library, blinkml_reference.
 
 #ifndef BLINKML_MODELS_GLM_PARALLEL_H_
 #define BLINKML_MODELS_GLM_PARALLEL_H_
@@ -52,26 +50,19 @@ inline void PanelMargins(const Dataset& data, const Vector& theta,
   }
 }
 
-/// The one fused/naive margin walk every driver below shares: calls
-/// row_fn(i, margin_i) for i in [b, e). `fused` selects the panel kernel
-/// (unrolled dots into a stack buffer) vs the oracle RowDot loop; keeping
-/// the split here — not copy-pasted per driver — is what keeps the five
-/// passes' margin arithmetic identical by construction.
+/// The one margin walk every driver below shares: calls row_fn(i,
+/// margin_i) for i in [b, e), with the margins of each panel computed by
+/// the unrolled dots into a stack buffer. Keeping the walk here — not
+/// copy-pasted per driver — is what keeps the five passes' margin
+/// arithmetic identical by construction.
 template <typename RowFn>
 inline void ForMargins(const Dataset& data, const Vector& theta,
-                       ParallelIndex b, ParallelIndex e, bool fused,
-                       const RowFn& row_fn) {
-  if (fused) {
-    double margins[kGlmPanel];
-    for (ParallelIndex p = b; p < e; p += kGlmPanel) {
-      const ParallelIndex pe = std::min(p + kGlmPanel, e);
-      PanelMargins(data, theta, p, pe, margins);
-      for (ParallelIndex i = p; i < pe; ++i) row_fn(i, margins[i - p]);
-    }
-  } else {
-    for (ParallelIndex i = b; i < e; ++i) {
-      row_fn(i, data.RowDot(i, theta.data()));
-    }
+                       ParallelIndex b, ParallelIndex e, const RowFn& row_fn) {
+  double margins[kGlmPanel];
+  for (ParallelIndex p = b; p < e; p += kGlmPanel) {
+    const ParallelIndex pe = std::min(p + kGlmPanel, e);
+    PanelMargins(data, theta, p, pe, margins);
+    for (ParallelIndex i = p; i < pe; ++i) row_fn(i, margins[i - p]);
   }
 }
 
@@ -94,37 +85,26 @@ inline LossGradPartial CombineLossGrad(LossGradPartial acc,
 /// The trainer's gradient loop: averaged loss + gradient of the negative
 /// log-likelihood plus the L2 term, fused in one data pass.
 ///
-/// Link contract: `Loss(margin, y)` and `Coeff(margin, y)` reproduce the
-/// spec's original per-row arithmetic exactly (the kNaive path must stay
-/// bitwise); `LossAndCoeff(margin, y, &coeff)` may share intermediate
-/// transcendentals between the two (values then differ by rounding only).
+/// Link contract: `LossAndCoeff(margin, y, &coeff)` returns the per-row
+/// loss and stores the gradient coefficient; it may share intermediate
+/// transcendentals between the two, so the coefficient may differ from
+/// `Coeff(margin, y)` by rounding only.
 template <typename Link>
 double GlmObjectiveAndGradient(const Link& link, const Dataset& data,
                                const Vector& theta, double l2, Vector* grad) {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   BLINKML_CHECK_GT(data.num_rows(), 0);
   const auto n = static_cast<ParallelIndex>(data.num_rows());
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
   LossGradPartial total = ParallelReduce(
       ParallelIndex{0}, n, LossGradPartial{},
       [&](ParallelIndex b, ParallelIndex e) {
         LossGradPartial part;
         part.grad.Resize(theta.size());
-        if (fused) {
-          ForMargins(data, theta, b, e, true,
-                     [&](ParallelIndex i, double m) {
-                       double coeff;
-                       part.loss += link.LossAndCoeff(m, data.label(i), &coeff);
-                       data.AddRowTo(i, coeff, part.grad.data());
-                     });
-        } else {
-          ForMargins(data, theta, b, e, false,
-                     [&](ParallelIndex i, double m) {
-                       const double y = data.label(i);
-                       part.loss += link.Loss(m, y);
-                       data.AddRowTo(i, link.Coeff(m, y), part.grad.data());
-                     });
-        }
+        ForMargins(data, theta, b, e, [&](ParallelIndex i, double m) {
+          double coeff;
+          part.loss += link.LossAndCoeff(m, data.label(i), &coeff);
+          data.AddRowTo(i, coeff, part.grad.data());
+        });
         return part;
       },
       CombineLossGrad, GradientGrain(n));
@@ -144,25 +124,16 @@ double GlmObjective(const Link& link, const Dataset& data, const Vector& theta,
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   BLINKML_CHECK_GT(data.num_rows(), 0);
   const auto n = static_cast<ParallelIndex>(data.num_rows());
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
   const double loss = ParallelReduce(
       ParallelIndex{0}, n, 0.0,
       [&](ParallelIndex b, ParallelIndex e) {
         double part = 0.0;
-        if (fused) {
-          // LossAndCoeff, not Loss: the value-only pass must agree with
-          // the fused gradient pass bitwise at a fixed level.
-          ForMargins(data, theta, b, e, true,
-                     [&](ParallelIndex i, double m) {
-                       double unused;
-                       part += link.LossAndCoeff(m, data.label(i), &unused);
-                     });
-        } else {
-          ForMargins(data, theta, b, e, false,
-                     [&](ParallelIndex i, double m) {
-                       part += link.Loss(m, data.label(i));
-                     });
-        }
+        // LossAndCoeff, the same per-row call as the gradient pass, so the
+        // value-only pass agrees with it bitwise.
+        ForMargins(data, theta, b, e, [&](ParallelIndex i, double m) {
+          double unused;
+          part += link.LossAndCoeff(m, data.label(i), &unused);
+        });
         return part;
       },
       [](double acc, double part) { return acc + part; }, GradientGrain(n));
@@ -176,9 +147,8 @@ void GlmCoeffs(const Link& link, const Dataset& data, const Vector& theta,
                Vector* coeffs) {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   coeffs->Resize(data.num_rows());
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
   ParallelFor(0, data.num_rows(), [&](ParallelIndex b, ParallelIndex e) {
-    ForMargins(data, theta, b, e, fused, [&](ParallelIndex i, double m) {
+    ForMargins(data, theta, b, e, [&](ParallelIndex i, double m) {
       (*coeffs)[i] = link.Coeff(m, data.label(i));
     });
   });
@@ -194,26 +164,24 @@ void GlmPerExampleGradients(const Link& link, const Dataset& data,
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   const auto n = static_cast<ParallelIndex>(data.num_rows());
   *out = Matrix(n, theta.size());
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
   ParallelFor(0, n, [&](ParallelIndex b, ParallelIndex e) {
-    ForMargins(data, theta, b, e, fused, [&](ParallelIndex i, double m) {
+    ForMargins(data, theta, b, e, [&](ParallelIndex i, double m) {
       data.AddRowTo(i, link.Coeff(m, data.label(i)), out->row_data(i));
     });
   });
 }
 
-/// Predict: margin + link.Predict per row. Under kBlocked the margins come
-/// from the same unrolled dots as BatchMargins, so a PredictBatch column
-/// stays bitwise equal to a single Predict pass — the invariant the
-/// hyperparameter search's batched-scoring self-check relies on.
+/// Predict: margin + link.Predict per row. The margins come from the same
+/// unrolled dots as BatchMargins, so a PredictBatch column stays bitwise
+/// equal to a single Predict pass — the invariant the hyperparameter
+/// search's batched-scoring self-check relies on.
 template <typename Link>
 void GlmPredict(const Link& link, const Dataset& data, const Vector& theta,
                 Vector* out) {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   out->Resize(data.num_rows());
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
   ParallelFor(0, data.num_rows(), [&](ParallelIndex b, ParallelIndex e) {
-    ForMargins(data, theta, b, e, fused, [&](ParallelIndex i, double m) {
+    ForMargins(data, theta, b, e, [&](ParallelIndex i, double m) {
       (*out)[i] = link.Predict(m);
     });
   });

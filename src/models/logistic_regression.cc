@@ -2,44 +2,14 @@
 
 #include <cmath>
 
+#include "models/glm_links.h"
 #include "models/glm_parallel.h"
 
 namespace blinkml {
 
 namespace {
 using Index = Dataset::Index;
-
-// Numerically stable log(1 + exp(z)).
-double Log1pExp(double z) {
-  if (z > 30.0) return z;
-  if (z < -30.0) return std::exp(z);
-  return std::log1p(std::exp(z));
-}
-
-// Per-row arithmetic for the shared GLM drivers (models/glm_parallel.h).
-// Loss/Coeff reproduce the original loops exactly (the kNaive oracle);
-// LossAndCoeff shares one exp between the loss and the sigmoid.
-struct LogisticLink {
-  double Loss(double m, double y) const {
-    // -[y log s + (1-y) log(1-s)] = log(1+e^m) - y * m.
-    return Log1pExp(m) - y * m;
-  }
-  double Coeff(double m, double y) const {
-    return LogisticRegressionSpec::Sigmoid(m) - y;
-  }
-  double LossAndCoeff(double m, double y, double* coeff) const {
-    if (m >= 0.0) {
-      const double e = std::exp(-m);  // e in (0, 1]: both branches stable
-      *coeff = 1.0 / (1.0 + e) - y;
-      return m + std::log1p(e) - y * m;
-    }
-    const double e = std::exp(m);
-    *coeff = e / (1.0 + e) - y;
-    return std::log1p(e) - y * m;
-  }
-  double Predict(double m) const { return m >= 0.0 ? 1.0 : 0.0; }
-};
-
+using internal::LogisticLink;
 }  // namespace
 
 double LogisticRegressionSpec::Sigmoid(double margin) {
@@ -107,13 +77,11 @@ Matrix LogisticRegressionSpec::Scores(const Vector& theta,
                                       const Dataset& data) const {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   Matrix scores(data.num_rows(), 1);
-  // Margins through the shared GLM driver so the blocked level computes
-  // each score with the canonical unrolled dot — the invariant that makes
-  // a ScoresBatch column bitwise equal to this single pass. kNaive keeps
-  // the original RowDot loop (the oracle path is unchanged).
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
+  // Margins through the shared GLM driver, so each score is the canonical
+  // unrolled dot — the invariant that makes a ScoresBatch column bitwise
+  // equal to this single pass.
   ParallelFor(0, data.num_rows(), [&](Index b, Index e) {
-    internal::ForMargins(data, theta, b, e, fused,
+    internal::ForMargins(data, theta, b, e,
                          [&](Index i, double m) { scores(i, 0) = m; });
   });
   return scores;

@@ -2,31 +2,15 @@
 
 #include <cmath>
 
+#include "models/glm_links.h"
 #include "models/glm_parallel.h"
 
 namespace blinkml {
 
 namespace {
 using Index = Dataset::Index;
-
-// exp with the argument clamped so a transient optimizer step into an
-// extreme region degrades gracefully instead of overflowing to inf (the
-// objective stays finite and the line search backtracks out).
-double SafeExp(double z) { return std::exp(std::min(z, 500.0)); }
-
-// Per-row arithmetic for the shared GLM drivers (models/glm_parallel.h);
-// the fused form pays SafeExp once for loss and coefficient.
-struct PoissonLink {
-  double Loss(double m, double y) const { return SafeExp(m) - y * m; }
-  double Coeff(double m, double y) const { return SafeExp(m) - y; }
-  double LossAndCoeff(double m, double y, double* coeff) const {
-    const double rate = SafeExp(m);
-    *coeff = rate - y;
-    return rate - y * m;
-  }
-  double Predict(double m) const { return SafeExp(m); }
-};
-
+using internal::PoissonLink;
+using internal::SafeExp;
 }  // namespace
 
 PoissonRegressionSpec::PoissonRegressionSpec(double l2) : l2_(l2) {
@@ -85,12 +69,10 @@ Matrix PoissonRegressionSpec::Scores(const Vector& theta,
                                      const Dataset& data) const {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   Matrix scores(data.num_rows(), 1);
-  // Shared GLM margin driver: blocked scores use the canonical unrolled
-  // dot (so ScoresBatch columns match bitwise), kNaive keeps the RowDot
-  // oracle loop.
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
+  // Shared GLM margin driver: scores use the canonical unrolled dot, so
+  // ScoresBatch columns match bitwise.
   ParallelFor(0, data.num_rows(), [&](Index b, Index e) {
-    internal::ForMargins(data, theta, b, e, fused,
+    internal::ForMargins(data, theta, b, e,
                          [&](Index i, double m) { scores(i, 0) = m; });
   });
   return scores;

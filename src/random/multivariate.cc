@@ -2,7 +2,6 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/kernels.h"
-#include "runtime/runtime_options.h"
 
 namespace blinkml {
 
@@ -19,14 +18,7 @@ Vector FactorMvnSampler::DrawWithZ(const Vector& z) const {
 
 Matrix FactorMvnSampler::DrawBatchWithZ(const Matrix& zs) const {
   BLINKML_CHECK_EQ(zs.cols(), w_.cols());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::MatVecMulti(w_, zs);
-  }
-  Matrix out(w_.rows(), zs.rows());
-  for (Matrix::Index b = 0; b < zs.rows(); ++b) {
-    out.SetCol(b, DrawWithZ(zs.Row(b)));
-  }
-  return out;
+  return kernels::MatVecMulti(w_, zs);
 }
 
 Result<DenseMvnSampler> DenseMvnSampler::Create(const Matrix& covariance) {

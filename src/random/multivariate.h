@@ -33,9 +33,8 @@ class FactorMvnSampler {
   Vector DrawWithZ(const Vector& z) const;
 
   /// Batched draws: row b of `zs` (B x r) is draw b's z. Returns p x B
-  /// with column b bitwise equal to DrawWithZ(zs.row(b)) — under the
-  /// blocked kernels one pass over W serves the whole batch
-  /// (kernels::MatVecMulti); the naive level keeps the per-draw loop.
+  /// with column b bitwise equal to DrawWithZ(zs.row(b)); one pass over W
+  /// serves the whole batch (kernels::MatVecMulti).
   Matrix DrawBatchWithZ(const Matrix& zs) const;
 
  private:

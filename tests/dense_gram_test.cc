@@ -13,9 +13,11 @@
 #include "core/coordinator.h"
 #include "core/statistics.h"
 #include "data/feature_gram_cache.h"
+#include "models/glm_links.h"
 #include "models/logistic_regression.h"
 #include "session/hyperparam_search.h"
 #include "session/training_session.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -33,41 +35,48 @@ StatsOptions GramPathOptions(bool reuse) {
   return options;
 }
 
+// Largest entrywise relative gap between the rescaled feature Gram
+// c_i c_j Gram(X)(i, j) and the Gram of the coefficient-scaled rows.
+double MaxRescaleGap(const Vector& coeffs, const Matrix& gram_x,
+                     const Matrix& gram_direct) {
+  double max_rel = 0.0;
+  for (Matrix::Index i = 0; i < gram_x.rows(); ++i) {
+    for (Matrix::Index j = 0; j < gram_x.cols(); ++j) {
+      const double rescaled = coeffs[i] * coeffs[j] * gram_x(i, j);
+      const double direct = gram_direct(i, j);
+      const double scale = std::max(std::abs(direct), 1e-30);
+      max_rel = std::max(max_rel, std::abs(rescaled - direct) / scale);
+    }
+  }
+  return max_rel;
+}
+
 // The rescaled feature Gram must match the Gram of the coefficient-scaled
 // rows to floating-point rounding (the dense analogue of the sparse
-// rescale-vs-merge oracle). Checked at both kernel levels: the oracle's
-// identical-order dots meet 1e-12; the blocked kernel's multi-chain dots
-// reassociate the cancellation-prone entries and sit a small factor above.
+// rescale-vs-merge oracle). Checked for the kernels and for the reference
+// loops (tests/reference/): the reference's identical-order dots meet
+// 1e-12; the kernels' multi-chain dots reassociate the cancellation-prone
+// entries and sit a small factor above.
 TEST(DenseGramRescale, GramEntriesAgreeToTightRelativeTolerance) {
   const Dataset data = SmallDenseLogistic(200, 300, 7);
   const Vector theta = Trainedish(data, 2);
   const LogisticRegressionSpec spec(1e-3);
+  const Matrix& x = data.dense();
 
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    RuntimeOptions options;
-    options.kernel_level = level;
-    RuntimeScope scope(options);
-    Vector coeffs;
-    spec.PerExampleGradientCoeffs(theta, data, &coeffs);
+  Vector coeffs;
+  spec.PerExampleGradientCoeffs(theta, data, &coeffs);
+  Matrix q;
+  spec.PerExampleGradients(theta, data, &q);
+  EXPECT_LE(MaxRescaleGap(coeffs, GramRows(x), GramRows(q)), 1e-10);
 
-    const Matrix& x = data.dense();
-    const Matrix gram_x = GramRows(x);
-    Matrix q;
-    spec.PerExampleGradients(theta, data, &q);
-    const Matrix gram_direct = GramRows(q);
-
-    double max_rel = 0.0;
-    for (Matrix::Index i = 0; i < gram_x.rows(); ++i) {
-      for (Matrix::Index j = 0; j < gram_x.cols(); ++j) {
-        const double rescaled = coeffs[i] * coeffs[j] * gram_x(i, j);
-        const double direct = gram_direct(i, j);
-        const double scale = std::max(std::abs(direct), 1e-30);
-        max_rel = std::max(max_rel, std::abs(rescaled - direct) / scale);
-      }
-    }
-    EXPECT_LE(max_rel, level == KernelLevel::kNaive ? 1e-12 : 1e-10)
-        << "kernel level " << static_cast<int>(level);
-  }
+  const internal::LogisticLink link;
+  Vector coeffs_ref;
+  reference::GlmCoeffs(link, data, theta, &coeffs_ref);
+  Matrix q_ref;
+  reference::GlmPerExampleGradients(link, data, theta, &q_ref);
+  EXPECT_LE(MaxRescaleGap(coeffs_ref, reference::GramRows(x),
+                          reference::GramRows(q_ref)),
+            1e-12);
 }
 
 // End-to-end: ComputeStatistics with the dense rescale path on vs off

@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/accuracy_estimator.h"
+#include "core/conservative.h"
 #include "core/sample_size_estimator.h"
 #include "core/statistics.h"
 #include "data/generators.h"
@@ -12,6 +16,7 @@
 #include "models/trainer.h"
 #include "runtime/parallel.h"
 #include "tests/test_util.h"
+#include "util/stats.h"
 
 namespace blinkml {
 namespace {
@@ -245,15 +250,6 @@ TEST_F(EstimatorFixture, SizeEstimatorRejectsBadArguments) {
 
 // ---------- Batched Monte-Carlo draws ----------
 
-// Runs fn under the given kernel level (ambient pool, full parallelism).
-template <typename Fn>
-auto AtLevel(KernelLevel level, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_level = level;
-  RuntimeScope scope(options);
-  return fn();
-}
-
 TEST(DrawBatch, BitwiseEqualsDrawWithZAcrossBackends) {
   Rng rng(71);
   const Matrix::Index p = 37;
@@ -272,24 +268,19 @@ TEST(DrawBatch, BitwiseEqualsDrawWithZAcrossBackends) {
   const char* names[] = {"dense", "gram", "sparse-gram"};
   for (int s = 0; s < 3; ++s) {
     const ParamSampler& sampler = samplers[s];
-    for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-      // Widths across a full kMultiVec group and odd remainders.
-      for (const Matrix::Index width : {1, 3, 5, 8, 11}) {
-        const Matrix zs = testing::RandomMatrix(width, r, &rng);
-        for (const double scale : {1.0, 0.3}) {
-          const std::vector<Vector> batch = AtLevel(
-              level, [&] { return sampler.DrawBatch(scale, zs); });
-          ASSERT_EQ(batch.size(), static_cast<std::size_t>(width));
-          for (Matrix::Index b = 0; b < width; ++b) {
-            const Vector single = AtLevel(
-                level, [&] { return sampler.DrawWithZ(scale, zs.Row(b)); });
-            ASSERT_EQ(batch[static_cast<std::size_t>(b)].size(), single.size());
-            for (Vector::Index i = 0; i < single.size(); ++i) {
-              ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i])
-                  << names[s] << " level=" << static_cast<int>(level)
-                  << " width=" << width << " scale=" << scale << " draw " << b
-                  << " elem " << i;
-            }
+    // Widths across a full kMultiVec group and odd remainders.
+    for (const Matrix::Index width : {1, 3, 5, 8, 11}) {
+      const Matrix zs = testing::RandomMatrix(width, r, &rng);
+      for (const double scale : {1.0, 0.3}) {
+        const std::vector<Vector> batch = sampler.DrawBatch(scale, zs);
+        ASSERT_EQ(batch.size(), static_cast<std::size_t>(width));
+        for (Matrix::Index b = 0; b < width; ++b) {
+          const Vector single = sampler.DrawWithZ(scale, zs.Row(b));
+          ASSERT_EQ(batch[static_cast<std::size_t>(b)].size(), single.size());
+          for (Vector::Index i = 0; i < single.size(); ++i) {
+            ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i])
+                << names[s] << " width=" << width << " scale=" << scale
+                << " draw " << b << " elem " << i;
           }
         }
       }
@@ -306,13 +297,10 @@ TEST(DrawBatch, DegenerateShapes) {
       ParamSampler::FromDenseFactor(testing::RandomMatrix(1, 4, &rng));
   for (const ParamSampler* sampler : {&rank1, &p1}) {
     const Matrix zs = testing::RandomMatrix(5, sampler->rank(), &rng);
-    const std::vector<Vector> batch = AtLevel(
-        KernelLevel::kBlocked, [&] { return sampler->DrawBatch(0.5, zs); });
+    const std::vector<Vector> batch = sampler->DrawBatch(0.5, zs);
     ASSERT_EQ(batch.size(), 5u);
     for (Matrix::Index b = 0; b < 5; ++b) {
-      const Vector single = AtLevel(KernelLevel::kBlocked, [&] {
-        return sampler->DrawWithZ(0.5, zs.Row(b));
-      });
+      const Vector single = sampler->DrawWithZ(0.5, zs.Row(b));
       for (Vector::Index i = 0; i < single.size(); ++i) {
         ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i]);
       }
@@ -323,59 +311,121 @@ TEST(DrawBatch, DegenerateShapes) {
   EXPECT_TRUE(rank1.DrawBatch(1.0, empty).empty());
 }
 
-TEST_F(EstimatorFixture, BatchedAccuracyBitwiseEqualsUnbatched) {
-  // batch_draws is a pure speed knob: same z stream, same kernels per
-  // column, so the estimate is bit-for-bit identical — at both levels.
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    AccuracyOptions options;
-    options.num_samples = 100;  // not a multiple of kMultiVec on purpose
-    options.batch_draws = true;
-    Rng rng_a(21);
-    const auto batched = AtLevel(level, [&] {
-      return EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
-                              *sampler_, holdout_, options, &rng_a);
-    });
-    options.batch_draws = false;
-    Rng rng_b(21);
-    const auto unbatched = AtLevel(level, [&] {
-      return EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
-                              *sampler_, holdout_, options, &rng_b);
-    });
-    ASSERT_TRUE(batched.ok());
-    ASSERT_TRUE(unbatched.ok());
-    EXPECT_EQ(batched->epsilon, unbatched->epsilon)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->mean_v, unbatched->mean_v)
-        << "level=" << static_cast<int>(level);
+// The batched Monte-Carlo loops must consume exactly the normals one
+// ParamSampler::Draw per draw takes from each chunk's stream. The two
+// tests below recompute every draw that way — the estimators' chunk
+// layout (ComputeChunks(k, kFineGrain)) and per-chunk streams
+// (SplitRngPerChunk) — score it on its own, and require the estimates to
+// match bit for bit.
+
+// draw(chunk_rng, i) for i in [0, k), chunk by chunk on the estimators'
+// streams split off Rng(seed).
+template <typename DrawFn>
+void ForEachChunkDraw(ParallelIndex k, std::uint64_t seed,
+                      const DrawFn& draw) {
+  const ChunkLayout layout = ComputeChunks(k, kFineGrain);
+  Rng rng(seed);
+  std::vector<Rng> streams = SplitRngPerChunk(layout, &rng);
+  for (ParallelIndex c = 0; c < layout.num_chunks; ++c) {
+    const ParallelIndex b = c * layout.chunk_size;
+    const ParallelIndex e = std::min(b + layout.chunk_size, k);
+    for (ParallelIndex i = b; i < e; ++i) {
+      draw(&streams[static_cast<std::size_t>(c)], i);
+    }
   }
 }
 
-TEST_F(EstimatorFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    SampleSizeOptions options;
-    options.num_samples = 60;  // not a multiple of kMultiVec on purpose
-    options.epsilon = 0.05;
-    options.batch_draws = true;
-    Rng rng_a(22);
-    const auto batched = AtLevel(level, [&] {
-      return EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(),
-                                *sampler_, holdout_, options, &rng_a);
-    });
-    options.batch_draws = false;
-    Rng rng_b(22);
-    const auto unbatched = AtLevel(level, [&] {
-      return EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(),
-                                *sampler_, holdout_, options, &rng_b);
-    });
-    ASSERT_TRUE(batched.ok());
-    ASSERT_TRUE(unbatched.ok());
-    EXPECT_EQ(batched->sample_size, unbatched->sample_size)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->success_fraction, unbatched->success_fraction)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->evaluations, unbatched->evaluations)
-        << "level=" << static_cast<int>(level);
+TEST_F(EstimatorFixture, BatchedAccuracyEqualsPerDrawRecomputation) {
+  AccuracyOptions options;
+  options.num_samples = 100;  // not a multiple of kMultiVec on purpose
+  const Dataset::Index full_n = pool_.num_rows();
+  Rng rng(21);
+  const auto est = EstimateAccuracy(spec_, theta0_, n0_, full_n, *sampler_,
+                                    holdout_, options, &rng);
+  ASSERT_TRUE(est.ok());
+
+  const double scale = std::sqrt(1.0 / static_cast<double>(n0_) -
+                                 1.0 / static_cast<double>(full_n));
+  const Matrix base = spec_.Scores(theta0_, holdout_);
+  std::vector<double> vs(static_cast<std::size_t>(options.num_samples));
+  ForEachChunkDraw(options.num_samples, 21, [&](Rng* chunk_rng,
+                                                ParallelIndex i) {
+    Matrix scores = spec_.Scores(sampler_->Draw(scale, chunk_rng), holdout_);
+    scores += base;
+    vs[static_cast<std::size_t>(i)] =
+        spec_.DiffFromScores(base, scores, holdout_);
+  });
+  const QuantileLevel level =
+      ConservativeQuantileLevel(options.delta, options.num_samples);
+  EXPECT_EQ(est->epsilon, UpperOrderStatistic(vs, level.level));
+  EXPECT_EQ(est->mean_v, Mean(vs));
+}
+
+TEST_F(EstimatorFixture, BatchedSampleSizeEqualsPerDrawRecomputation) {
+  SampleSizeOptions options;
+  options.num_samples = 60;  // not a multiple of kMultiVec on purpose
+  options.epsilon = 0.05;
+  const Dataset::Index full_n = pool_.num_rows();
+  Rng rng(22);
+  const auto est = EstimateSampleSize(spec_, theta0_, n0_, full_n, *sampler_,
+                                      holdout_, options, &rng);
+  ASSERT_TRUE(est.ok());
+
+  // Unscaled score deltas, drawn u_i then w_i per pair.
+  const int k = options.num_samples;
+  std::vector<Matrix> score_u(static_cast<std::size_t>(k));
+  std::vector<Matrix> score_w(static_cast<std::size_t>(k));
+  ForEachChunkDraw(k, 22, [&](Rng* chunk_rng, ParallelIndex i) {
+    const Vector u = sampler_->Draw(1.0, chunk_rng);
+    const Vector w = sampler_->Draw(1.0, chunk_rng);
+    score_u[static_cast<std::size_t>(i)] = spec_.Scores(u, holdout_);
+    score_w[static_cast<std::size_t>(i)] = spec_.Scores(w, holdout_);
+  });
+  const Matrix base = spec_.Scores(theta0_, holdout_);
+  // Fraction of pairs meeting epsilon at n, with the estimator's operand
+  // order: s1 = Su * a1 + S0, s2 = Sw * a2 + s1.
+  auto fraction = [&](Dataset::Index n) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    const double a1 =
+        std::sqrt(std::max(0.0, 1.0 / static_cast<double>(n0_) - inv_n));
+    const double a2 =
+        std::sqrt(std::max(0.0, inv_n - 1.0 / static_cast<double>(full_n)));
+    int ok = 0;
+    for (int i = 0; i < k; ++i) {
+      const Matrix& su = score_u[static_cast<std::size_t>(i)];
+      const Matrix& sw = score_w[static_cast<std::size_t>(i)];
+      Matrix s1(base.rows(), base.cols());
+      Matrix s2(base.rows(), base.cols());
+      for (Matrix::Index j = 0; j < base.size(); ++j) {
+        s1.data()[j] = su.data()[j] * a1 + base.data()[j];
+        s2.data()[j] = sw.data()[j] * a2 + s1.data()[j];
+      }
+      if (spec_.DiffFromScores(s1, s2, holdout_) <= options.epsilon) ++ok;
+    }
+    return static_cast<double>(ok) / static_cast<double>(k);
+  };
+  // The estimator's bisection, on the recomputed fractions.
+  const double level = ConservativeQuantileLevel(options.delta, k).level;
+  std::set<Dataset::Index> evaluated;
+  auto feasible = [&](Dataset::Index n) {
+    evaluated.insert(n);
+    return fraction(n) >= level;
+  };
+  Dataset::Index lo =
+      std::min(std::max<Dataset::Index>(options.min_n, 1), full_n);
+  Dataset::Index hi = full_n;
+  if (feasible(lo)) {
+    hi = lo;
+  } else {
+    while (hi - lo > 1) {
+      const Dataset::Index mid = lo + (hi - lo) / 2;
+      (feasible(mid) ? hi : lo) = mid;
+    }
+    evaluated.insert(hi);
   }
+  EXPECT_EQ(est->sample_size, hi);
+  EXPECT_EQ(est->success_fraction, fraction(hi));
+  EXPECT_EQ(est->evaluations, static_cast<int>(evaluated.size()));
 }
 
 TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {

@@ -1,22 +1,28 @@
-// Compute-kernel layer (linalg/kernels.h): kernel-vs-oracle equivalence,
-// bitwise thread-count invariance, the tiled sparse Gram's heavy-row
-// path, the batched-margin consistency invariant, and degenerate shapes.
+// Compute-kernel layer (linalg/kernels.h): kernel-vs-oracle equivalence
+// (the oracles are the scalar loops in tests/reference/), bitwise
+// thread-count invariance, the tiled sparse Gram's heavy-row path, the
+// batched-margin consistency invariant, and degenerate shapes.
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/statistics.h"
 #include "data/generators.h"
+#include "linalg/eigen_sym.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
+#include "models/glm_links.h"
+#include "models/glm_parallel.h"
 #include "models/logistic_regression.h"
 #include "models/model_spec.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -25,15 +31,6 @@ namespace {
 using testing::RandomMatrix;
 using testing::RandomVector;
 using testing::SparseBinaryData;
-
-// Runs fn under the given kernel level (ambient pool, full parallelism).
-template <typename Fn>
-auto AtLevel(KernelLevel level, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_level = level;
-  RuntimeScope scope(options);
-  return fn();
-}
 
 Vector Flatten(const Matrix& m) {
   Vector v(m.size());
@@ -79,38 +76,24 @@ TEST(DenseKernels, MatchOracleWithinTolerance) {
   const Vector x = RandomVector(67, &rng);
   const Vector y = RandomVector(131, &rng);
 
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(a); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return GramRows(a); })),
-            1e-12);
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramCols(a); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return GramCols(a); })),
-            1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatMul(a, b); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatMul(a, b); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatVec(a, x); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatVec(a, x); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatTVec(a, y); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatTVec(a, y); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(a), reference::GramRows(a)), 1e-12);
+  EXPECT_LE(MaxRelDiff(GramCols(a), reference::GramCols(a)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatMul(a, b), reference::MatMul(a, b)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatVec(a, x), reference::MatVec(a, x)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatTVec(a, y), reference::MatTVec(a, y)), 1e-12);
 }
 
 TEST(DenseKernels, GramSymmetryAndMultiBlockShapes) {
   Rng rng(11);
   // > 2 blocks in each direction, odd tails.
   const Matrix a = RandomMatrix(201, 130, &rng);
-  const Matrix g = AtLevel(KernelLevel::kBlocked, [&] { return GramRows(a); });
+  const Matrix g = GramRows(a);
   for (Matrix::Index i = 0; i < g.rows(); ++i) {
     for (Matrix::Index j = i + 1; j < g.cols(); ++j) {
       EXPECT_EQ(g(i, j), g(j, i)) << i << "," << j;
     }
   }
-  EXPECT_LE(MaxRelDiff(g, AtLevel(KernelLevel::kNaive, [&] { return GramRows(a); })),
-            1e-12);
+  EXPECT_LE(MaxRelDiff(g, reference::GramRows(a)), 1e-12);
 }
 
 TEST(DenseKernels, ThreadCountInvariance) {
@@ -142,10 +125,8 @@ TEST(SparseKernels, TiledGramMatchesMergeOnHeavyAndMixedRows) {
   const SparseMatrix mixed = MixedRowMatrix(61, 2000, 13);
 
   for (const SparseMatrix* m : {&heavy.sparse(), &mixed}) {
-    const Matrix tiled =
-        AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(*m); });
-    const Matrix merge =
-        AtLevel(KernelLevel::kNaive, [&] { return SparseGradientGram(*m); });
+    const Matrix tiled = SparseGradientGram(*m);
+    const Matrix merge = reference::SparseGradientGram(*m);
     // The gather accumulates the same products in the same column order as
     // the merge (non-matching columns contribute exact zeros), so the two
     // paths agree bitwise, not just to rounding.
@@ -155,8 +136,7 @@ TEST(SparseKernels, TiledGramMatchesMergeOnHeavyAndMixedRows) {
 
 TEST(SparseKernels, GramEmptyRowsYieldZeroRows) {
   const SparseMatrix mixed = MixedRowMatrix(17, 500, 3);  // rows 0,4,8,... empty
-  const Matrix g =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(mixed); });
+  const Matrix g = SparseGradientGram(mixed);
   for (SparseMatrix::Index r = 0; r < mixed.rows(); r += 4) {
     for (Matrix::Index j = 0; j < g.cols(); ++j) {
       EXPECT_EQ(g(r, j), 0.0);
@@ -170,14 +150,8 @@ TEST(SparseKernels, ApplyAndTransposedMatchOracle) {
   Rng rng(2);
   const Vector x = RandomVector(700, &rng);
   const Vector y = RandomVector(83, &rng);
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return m.Apply(x); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return m.Apply(x); })),
-            1e-12);
-  EXPECT_LE(MaxRelDiff(
-                AtLevel(KernelLevel::kBlocked,
-                        [&] { return m.ApplyTransposed(y); }),
-                AtLevel(KernelLevel::kNaive,
-                        [&] { return m.ApplyTransposed(y); })),
+  EXPECT_LE(MaxRelDiff(m.Apply(x), reference::Apply(m, x)), 1e-12);
+  EXPECT_LE(MaxRelDiff(m.ApplyTransposed(y), reference::ApplyTransposed(m, y)),
             1e-12);
   testing::ExpectThreadCountInvariant([&] { return m.Apply(x); }, {1, 2, 8},
                                       "Apply");
@@ -197,9 +171,7 @@ TEST(SparseKernels, ApplyTransposedMultiBitwiseEqualsPerColumn) {
   ASSERT_EQ(multi.rows(), 400);
   ASSERT_EQ(multi.cols(), 11);
   for (Matrix::Index c = 0; c < v.cols(); ++c) {
-    const Vector naive = AtLevel(KernelLevel::kNaive, [&] {
-      return m.ApplyTransposed(v.Col(c));
-    });
+    const Vector naive = reference::ApplyTransposed(m, v.Col(c));
     for (Matrix::Index j = 0; j < multi.rows(); ++j) {
       ASSERT_EQ(multi(j, c), naive[j]) << "col " << c << " row " << j;
     }
@@ -277,18 +249,14 @@ TEST(GlmKernels, FusedLossAndGradientMatchNaive) {
   for (const Dataset* data : {&sparse, &dense}) {
     const Vector theta = testing::Trainedish(*data, 21);
     Vector g_naive, g_blocked;
-    const double f_naive = AtLevel(KernelLevel::kNaive, [&] {
-      return spec.ObjectiveAndGradient(theta, *data, &g_naive);
-    });
-    const double f_blocked = AtLevel(KernelLevel::kBlocked, [&] {
-      return spec.ObjectiveAndGradient(theta, *data, &g_blocked);
-    });
+    const double f_naive = reference::GlmObjectiveAndGradient(
+        internal::LogisticLink{}, *data, theta, spec.l2(), &g_naive);
+    const double f_blocked =
+        spec.ObjectiveAndGradient(theta, *data, &g_blocked);
     EXPECT_NEAR(f_blocked, f_naive, 1e-12 * std::max(1.0, std::fabs(f_naive)));
     EXPECT_LE(MaxRelDiff(g_blocked, g_naive), 1e-11);
-    // Value-only pass agrees with the fused pass at each level.
-    EXPECT_EQ(AtLevel(KernelLevel::kBlocked,
-                      [&] { return spec.Objective(theta, *data); }),
-              f_blocked);
+    // Value-only pass agrees with the fused pass bitwise.
+    EXPECT_EQ(spec.Objective(theta, *data), f_blocked);
     testing::ExpectThreadCountInvariant(
         [&] {
           Vector g;
@@ -299,31 +267,62 @@ TEST(GlmKernels, FusedLossAndGradientMatchNaive) {
   }
 }
 
+// Every shared GLM driver (models/glm_parallel.h) against its reference
+// loop for one link: RowDot margins and a separate Loss / Coeff per row.
+template <typename Link>
+void ExpectDriversMatchReference(const Link& link, const Dataset& data,
+                                 const Vector& theta) {
+  const double l2 = 1e-3;
+  Vector g, g_ref;
+  const double f =
+      internal::GlmObjectiveAndGradient(link, data, theta, l2, &g);
+  const double f_ref =
+      reference::GlmObjectiveAndGradient(link, data, theta, l2, &g_ref);
+  EXPECT_NEAR(f, f_ref, 1e-12 * std::max(1.0, std::fabs(f_ref)));
+  EXPECT_LE(MaxRelDiff(g, g_ref), 1e-11);
+  const double v_ref = reference::GlmObjective(link, data, theta, l2);
+  EXPECT_NEAR(internal::GlmObjective(link, data, theta, l2), v_ref,
+              1e-12 * std::max(1.0, std::fabs(v_ref)));
+  Vector c, c_ref;
+  internal::GlmCoeffs(link, data, theta, &c);
+  reference::GlmCoeffs(link, data, theta, &c_ref);
+  EXPECT_LE(MaxRelDiff(c, c_ref), 1e-11);
+  Matrix q, q_ref;
+  internal::GlmPerExampleGradients(link, data, theta, &q);
+  reference::GlmPerExampleGradients(link, data, theta, &q_ref);
+  EXPECT_LE(MaxRelDiff(q, q_ref), 1e-11);
+  Vector p, p_ref;
+  internal::GlmPredict(link, data, theta, &p);
+  reference::GlmPredict(link, data, theta, &p_ref);
+  EXPECT_LE(MaxRelDiff(p, p_ref), 1e-11);
+}
+
+TEST(GlmKernels, EveryDriverMatchesReferenceForEveryLink) {
+  const Dataset sparse = SparseBinaryData(300, 800, /*seed=*/14,
+                                          /*nnz_per_row=*/20);
+  const Dataset dense = testing::SmallDenseLogistic(400, 30, /*seed=*/15);
+  for (const Dataset* data : {&sparse, &dense}) {
+    SCOPED_TRACE(data->is_sparse() ? "sparse" : "dense");
+    const Vector theta = testing::Trainedish(*data, 22);
+    ExpectDriversMatchReference(internal::LinearLink{}, *data, theta);
+    ExpectDriversMatchReference(internal::LogisticLink{}, *data, theta);
+    ExpectDriversMatchReference(internal::PoissonLink{}, *data, theta);
+  }
+}
+
 // ---------- Degenerate shapes ----------
 
 TEST(KernelDegenerateShapes, SingleColumnSingleRowAndEmpty) {
   Rng rng(31);
   // p = 1: one-column matrix.
   const Matrix col = RandomMatrix(37, 1, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(col); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramRows(col); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramCols(col); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramCols(col); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(col), reference::GramRows(col)), 1e-12);
+  EXPECT_LE(MaxRelDiff(GramCols(col), reference::GramCols(col)), 1e-12);
   // n_s = 1: single-row matrix.
   const Matrix row = RandomMatrix(1, 29, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(row); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramRows(row); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(row), reference::GramRows(row)), 1e-12);
   const Vector x = RandomVector(29, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatVec(row, x); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatVec(row, x); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(MatVec(row, x), reference::MatVec(row, x)), 1e-12);
 
   // Sparse single row / all-empty rows.
   CsrBuilder one_row;
@@ -331,23 +330,18 @@ TEST(KernelDegenerateShapes, SingleColumnSingleRowAndEmpty) {
   one_row.Add(7, -1.5);
   one_row.FinishRow();
   const SparseMatrix single = std::move(one_row).Build(10);
-  const Matrix g1 =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(single); });
+  const Matrix g1 = SparseGradientGram(single);
   ASSERT_EQ(g1.rows(), 1);
   EXPECT_DOUBLE_EQ(g1(0, 0), 2.0 * 2.0 + 1.5 * 1.5);
 
   CsrBuilder empties;
   for (int r = 0; r < 6; ++r) empties.FinishRow();
   const SparseMatrix empty = std::move(empties).Build(10);
-  const Matrix g0 =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(empty); });
+  const Matrix g0 = SparseGradientGram(empty);
   EXPECT_EQ(g0.MaxAbs(), 0.0);
-  const Vector applied =
-      AtLevel(KernelLevel::kBlocked, [&] { return empty.Apply(Vector(10)); });
+  const Vector applied = empty.Apply(Vector(10));
   EXPECT_EQ(applied.size(), 6);
-  const Vector applied_t = AtLevel(KernelLevel::kBlocked, [&] {
-    return empty.ApplyTransposed(Vector(6));
-  });
+  const Vector applied_t = empty.ApplyTransposed(Vector(6));
   EXPECT_EQ(applied_t.size(), 10);
 }
 
@@ -356,64 +350,22 @@ TEST(KernelDegenerateShapes, ZeroRowTransposedAppliesKeepTheOutputShape) {
   // 0-row operand, exactly as the naive loops do (an empty chunk layout
   // must not collapse the output to size 0).
   const Matrix dense0(0, 5);
-  const Vector t = AtLevel(KernelLevel::kBlocked,
-                           [&] { return MatTVec(dense0, Vector(0)); });
+  const Vector t = MatTVec(dense0, Vector(0));
   EXPECT_EQ(t.size(), 5);
   EXPECT_EQ(NormInf(t), 0.0);
   CsrBuilder none;
   const SparseMatrix sparse0 = std::move(none).Build(7);
-  const Vector st = AtLevel(KernelLevel::kBlocked, [&] {
-    return sparse0.ApplyTransposed(Vector(0));
-  });
+  const Vector st = sparse0.ApplyTransposed(Vector(0));
   EXPECT_EQ(st.size(), 7);
   EXPECT_EQ(NormInf(st), 0.0);
 }
 
-// ---------- Scope propagation to pool lanes ----------
-
-TEST(KernelDispatch, ScopeKernelLevelReachesPoolWorkerLanes) {
-  // Kernel dispatch happens wherever a linalg entry point is reached —
-  // including inside parallel-region bodies running on pool workers (the
-  // Monte-Carlo draw loops do exactly this). The ambient RuntimeOptions
-  // must reach every lane: under a kNaive scope, a dispatch on a worker
-  // lane falling back to the default (kBlocked) would make results
-  // depend on which lane ran the chunk.
-  Rng rng(41);
-  const Matrix a = RandomMatrix(40, 93, &rng);
-  const Vector x = RandomVector(93, &rng);
-  const Vector serial_naive =
-      AtLevel(KernelLevel::kNaive, [&] { return MatVec(a, x); });
-
-  ThreadPool pool(8);
-  RuntimeOptions options;
-  options.kernel_level = KernelLevel::kNaive;
-  options.pool = &pool;
-  options.num_threads = 8;
-  RuntimeScope scope(options);
-  constexpr ParallelIndex kItems = 16;
-  Matrix per_item(kItems, 40);
-  // Grain 1: items spread across all 8 lanes; each item's MatVec
-  // dispatches on its lane's thread (the nested region runs inline).
-  ParallelFor(0, kItems, [&](ParallelIndex b, ParallelIndex e) {
-    for (ParallelIndex i = b; i < e; ++i) {
-      const Vector y = MatVec(a, x);
-      for (Vector::Index c = 0; c < y.size(); ++c) per_item(i, c) = y[c];
-    }
-  }, /*grain=*/1);
-  for (ParallelIndex i = 0; i < kItems; ++i) {
-    for (Vector::Index c = 0; c < serial_naive.size(); ++c) {
-      ASSERT_EQ(per_item(i, c), serial_naive[c]) << "item " << i;
-    }
-  }
-}
-
 // ---------- Multi-z kernels: per-column bitwise contract ----------
 
-// Runs fn at the blocked level with the given ISA forced via the scope.
+// Runs fn with the given ISA forced via the scope.
 template <typename Fn>
 auto AtIsa(KernelIsa isa, const Fn& fn) {
   RuntimeOptions options;
-  options.kernel_level = KernelLevel::kBlocked;
   options.kernel_isa = isa;
   RuntimeScope scope(options);
   return fn();
@@ -461,21 +413,16 @@ TEST(MultiZKernels, MatVecMultiBitwiseEqualsPerColumn) {
   // Rank-1 factor (a single column) hits every tail path at once.
   const Matrix a1 = RandomMatrix(40, 1, &rng);
   const Matrix z1 = RandomMatrix(5, 1, &rng);
-  const Matrix multi1 =
-      AtLevel(KernelLevel::kBlocked, [&] { return kernels::MatVecMulti(a1, z1); });
+  const Matrix multi1 = kernels::MatVecMulti(a1, z1);
   for (Matrix::Index b = 0; b < 5; ++b) {
-    const Vector single =
-        AtLevel(KernelLevel::kBlocked, [&] { return MatVec(a1, z1.Row(b)); });
+    const Vector single = MatVec(a1, z1.Row(b));
     for (Matrix::Index i = 0; i < multi1.rows(); ++i) {
       ASSERT_EQ(multi1(i, b), single[i]);
     }
   }
   const Matrix zs = RandomMatrix(11, 19, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(KernelLevel::kBlocked,
-                               [&] { return kernels::MatVecMulti(a, zs); }));
-      },
+      [&] { return Flatten(kernels::MatVecMulti(a, zs)); },
       {1, 2, 8}, "MatVecMulti");
 }
 
@@ -502,19 +449,14 @@ TEST(MultiZKernels, MatTVecMultiBitwiseEqualsPerColumn) {
   // Single-feature (p = 1) shape.
   const Matrix a1 = RandomMatrix(48, 1, &rng);
   const Matrix t1 = RandomMatrix(48, 8, &rng);
-  const Matrix multi1 = AtLevel(KernelLevel::kBlocked,
-                                [&] { return kernels::MatTVecMulti(a1, t1); });
+  const Matrix multi1 = kernels::MatTVecMulti(a1, t1);
   for (Matrix::Index b = 0; b < 8; ++b) {
-    const Vector single = AtLevel(KernelLevel::kBlocked,
-                                  [&] { return MatTVec(a1, t1.Col(b)); });
+    const Vector single = MatTVec(a1, t1.Col(b));
     ASSERT_EQ(multi1(0, b), single[0]);
   }
   const Matrix t = RandomMatrix(60, 11, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(KernelLevel::kBlocked,
-                               [&] { return kernels::MatTVecMulti(a, t); }));
-      },
+      [&] { return Flatten(kernels::MatTVecMulti(a, t)); },
       {1, 2, 8}, "MatTVecMulti");
 }
 
@@ -540,11 +482,7 @@ TEST(MultiZKernels, ApplyTransposedMultiBlockedBitwiseEqualsPerColumn) {
   }
   const Matrix t = RandomMatrix(60, 11, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(
-            KernelLevel::kBlocked,
-            [&] { return kernels::ApplyTransposedMultiBlocked(m, t); }));
-      },
+      [&] { return Flatten(kernels::ApplyTransposedMultiBlocked(m, t)); },
       {1, 2, 8}, "ApplyTransposedMultiBlocked");
 }
 
@@ -554,7 +492,7 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
   // The AVX2 variants keep the canonical four-chain association (no FMA
   // contraction), so they are bitwise equal to the scalar blocked kernels
   // — a stronger statement than the documented 1e-12 oracle contract,
-  // which is also checked here against kNaive.
+  // which is also checked here against the reference loops.
   Rng rng(61);
   const Matrix a = RandomMatrix(131, 67, &rng);
   const Vector x = RandomVector(67, &rng);
@@ -579,13 +517,13 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
   };
 
   const std::vector<Vector> scalar = run(KernelIsa::kScalar);
-  const std::vector<Vector> naive = AtLevel(KernelLevel::kNaive, [&] {
-    std::vector<Vector> outs;
-    outs.push_back(MatVec(a, x));
-    outs.push_back(Flatten(BatchMargins(sparse, thetas)));
-    outs.push_back(Flatten(kernels::MatVecMulti(a, zs)));
-    return outs;
-  });
+  Matrix per_z(a.rows(), zs.rows());
+  for (Matrix::Index b = 0; b < zs.rows(); ++b) {
+    per_z.SetCol(b, reference::MatVec(a, zs.Row(b)));
+  }
+  const std::vector<Vector> naive = {
+      reference::MatVec(a, x),
+      Flatten(reference::BatchMargins(sparse, thetas)), Flatten(per_z)};
   for (std::size_t o = 0; o < scalar.size(); ++o) {
     EXPECT_LE(MaxRelDiff(scalar[o], naive[o]), 1e-12) << "output " << o;
   }
@@ -603,10 +541,12 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
 }
 
 TEST(KernelIsaDispatch, ScopeIsaReachesPoolWorkerLanes) {
-  // Like ScopeKernelLevelReachesPoolWorkerLanes: the ISA choice must be
-  // visible on pool worker lanes, or batched Monte-Carlo chunks would
-  // resolve the ISA per lane and results could depend on the machine's
-  // ambient environment mid-run.
+  // Kernel dispatch happens wherever a linalg entry point is reached —
+  // including inside parallel-region bodies running on pool workers (the
+  // Monte-Carlo draw loops do exactly this). The ISA choice must be
+  // visible on every lane, or batched Monte-Carlo chunks would resolve
+  // the ISA per lane and results could depend on the machine's ambient
+  // environment mid-run.
   ThreadPool pool(8);
   RuntimeOptions options;
   options.kernel_isa = KernelIsa::kScalar;
@@ -630,7 +570,66 @@ TEST(KernelIsaDispatch, ScopeIsaReachesPoolWorkerLanes) {
 
 // ---------- End to end through the statistics path ----------
 
-TEST(KernelStatistics, ObservedFisherAgreesAcrossLevelsAndThreads) {
+// The sparse ObservedFisher rescale path of core/statistics.cc (p > n_s,
+// logistic gradient coefficients) rebuilt from the reference loops: the
+// coefficients from RowDot margins, Gram(X) by sorted merges, and
+// W = Q^T V one column at a time. Returns the sampler variances
+// diag(W W^T).
+Vector ReferenceObservedFisherVariances(const Dataset& data,
+                                        const Vector& theta, double beta,
+                                        const StatsOptions& options,
+                                        Rng* rng) {
+  const Dataset rows = data.SampleRows(options.stats_sample_size, rng);
+  const Matrix::Index n_s = rows.num_rows();
+  const double row_scale = 1.0 / std::sqrt(static_cast<double>(n_s));
+  Vector coeffs;
+  reference::GlmCoeffs(internal::LogisticLink{}, rows, theta, &coeffs);
+  const Matrix gram_x = reference::SparseGradientGram(rows.sparse());
+  Matrix gram(n_s, n_s);
+  for (Matrix::Index i = 0; i < n_s; ++i) {
+    for (Matrix::Index j = 0; j < n_s; ++j) {
+      gram(i, j) = coeffs[i] * row_scale * coeffs[j] * row_scale * gram_x(i, j);
+    }
+  }
+  const auto eig = EigenSym(gram);
+  EXPECT_TRUE(eig.ok());
+  // Keep the max_rank directions with the largest variance contribution
+  // l / (l + beta)^2 above the eigenvalue floor.
+  double lambda_max = 0.0;
+  for (Matrix::Index i = 0; i < n_s; ++i) {
+    lambda_max = std::max(lambda_max, eig->eigenvalues[i]);
+  }
+  std::vector<std::pair<double, Matrix::Index>> dirs;  // (contribution, i)
+  for (Matrix::Index i = 0; i < n_s; ++i) {
+    const double l = eig->eigenvalues[i];
+    if (l <= options.eigenvalue_floor_rel * lambda_max) continue;
+    dirs.push_back({l / ((l + beta) * (l + beta)), i});
+  }
+  std::sort(dirs.begin(), dirs.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const auto rank =
+      std::min<Matrix::Index>(static_cast<Matrix::Index>(dirs.size()),
+                              options.max_rank);
+  Matrix v_scaled(n_s, rank);
+  for (Matrix::Index j = 0; j < rank; ++j) {
+    const Matrix::Index d = dirs[static_cast<std::size_t>(j)].second;
+    const double scale = row_scale / (eig->eigenvalues[d] + beta);
+    for (Matrix::Index r = 0; r < n_s; ++r) {
+      v_scaled(r, j) = eig->eigenvectors(r, d) * scale;
+    }
+  }
+  const Matrix w = reference::ApplyTransposedColumns(
+      rows.sparse().ScaleRows(coeffs), v_scaled);
+  Vector variances(w.rows());
+  for (Matrix::Index i = 0; i < w.rows(); ++i) {
+    for (Matrix::Index j = 0; j < w.cols(); ++j) {
+      variances[i] += w(i, j) * w(i, j);
+    }
+  }
+  return variances;
+}
+
+TEST(KernelStatistics, ObservedFisherMatchesReferenceAndThreadCounts) {
   const Dataset data = SparseBinaryData(400, 600, /*seed=*/7,
                                         /*nnz_per_row=*/20);
   const Vector theta = testing::Trainedish(data, 1);
@@ -639,19 +638,15 @@ TEST(KernelStatistics, ObservedFisherAgreesAcrossLevelsAndThreads) {
   options.stats_sample_size = 128;
   options.max_rank = 64;
 
-  auto variance_at = [&](KernelLevel level) {
-    return AtLevel(level, [&] {
-      Rng rng(17);
-      auto sampler = ComputeStatistics(spec, theta, data, options, &rng);
-      EXPECT_TRUE(sampler.ok()) << sampler.status().ToString();
-      auto diag = sampler->VarianceDiagonal();
-      EXPECT_TRUE(diag.ok());
-      return *diag;
-    });
-  };
-  const Vector v_naive = variance_at(KernelLevel::kNaive);
-  const Vector v_blocked = variance_at(KernelLevel::kBlocked);
-  EXPECT_LE(MaxRelDiff(v_blocked, v_naive), 1e-9);
+  Rng rng(17);
+  auto sampler = ComputeStatistics(spec, theta, data, options, &rng);
+  ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
+  const auto v_blocked = sampler->VarianceDiagonal();
+  ASSERT_TRUE(v_blocked.ok());
+  Rng reference_rng(17);
+  const Vector v_naive = ReferenceObservedFisherVariances(
+      data, theta, spec.l2(), options, &reference_rng);
+  EXPECT_LE(MaxRelDiff(*v_blocked, v_naive), 1e-9);
 
   testing::ExpectThreadCountInvariant(
       [&] {

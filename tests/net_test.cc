@@ -811,14 +811,25 @@ TEST(BlinkServer, ShedsAtQueueHighWaterWithRetryHint) {
   const std::vector<std::uint8_t> payload = TrainPayload("t", "nope");
   FrameHeader header;
   header.verb = Verb::kTrain;
-  for (std::uint64_t id = 1; id <= 3; ++id) {
+  // Frame 1 must be running — popped, and held by the delay failpoint —
+  // before frames 2 and 3 arrive. Sent together, frame 2 could find
+  // frame 1 still queued and shed, and the runner could then pop frame 1
+  // before frame 3 is admitted, leaving frame 3 an empty queue. Once the
+  // failpoint has fired the runner is busy for 300 ms: frame 2 is queued
+  // and frame 3 must shed — rejected BEFORE enqueue, with the configured
+  // hint.
+  header.request_id = 1;
+  conn.SendRaw(FrameBytes(header, payload));
+  for (int i = 0; i < 5000 && fail::Failpoints::Global().Fires(
+                                 "manager.train") == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fail::Failpoints::Global().Fires("manager.train"), 1u);
+  for (std::uint64_t id = 2; id <= 3; ++id) {
     header.request_id = id;
     conn.SendRaw(FrameBytes(header, payload));
   }
-  // The first job occupies the runner (held by the delay failpoint);
-  // by the time frame 3 is admitted the queue holds at least one job, so
-  // frame 3 must shed — rejected BEFORE enqueue, with the configured
-  // hint, regardless of how frames 1/2 interleave with the runner.
   std::map<std::uint64_t, ResponseEnvelope> by_id;
   for (int i = 0; i < 3; ++i) {
     std::uint64_t id = 0;

@@ -232,6 +232,21 @@ TEST(FactorMvnSampler, DrawWithZIsDeterministic) {
   EXPECT_THROW(sampler.DrawWithZ(Vector{1.0}), CheckError);
 }
 
+TEST(FactorMvnSampler, DrawBatchWithZColumnsEqualDrawWithZ) {
+  Rng rng(20);
+  const FactorMvnSampler sampler(testing::RandomMatrix(13, 5, &rng));
+  const Matrix zs = testing::RandomMatrix(11, 5, &rng);  // 8 + a tail of 3
+  const Matrix batch = sampler.DrawBatchWithZ(zs);
+  ASSERT_EQ(batch.rows(), 13);
+  ASSERT_EQ(batch.cols(), 11);
+  for (Matrix::Index b = 0; b < zs.rows(); ++b) {
+    const Vector single = sampler.DrawWithZ(zs.Row(b));
+    for (Matrix::Index i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(batch(i, b), single[i]) << "draw " << b << " elem " << i;
+    }
+  }
+}
+
 TEST(DenseMvnSampler, CovarianceMatchesTarget) {
   Rng rng(19);
   const Matrix sigma = RandomSpd(4, &rng);
